@@ -32,6 +32,7 @@ func (k Kind) String() string {
 type series struct {
 	labels  string // rendered label set, `{a="b"}` or ""
 	cell    *Cell
+	val     *uint64 // non-nil: cell is rendered from its block's scrape copy
 	fnU     func() uint64
 	fnF     func() float64
 	isFloat bool
@@ -47,6 +48,28 @@ type family struct {
 	series []series
 }
 
+// block is a group of cells published under one sequence word. A scrape
+// copies all of them in one read before rendering, so every series of the
+// block shows the same publication.
+type block struct {
+	seq   *Seq
+	cells []*Cell
+	vals  []uint64
+}
+
+// load copies the block's last complete publication into vals.
+func (b *block) load() {
+	for {
+		n := b.seq.readBegin()
+		for i, c := range b.cells {
+			b.vals[i] = c.Load()
+		}
+		if !b.seq.readRetry(n) {
+			return
+		}
+	}
+}
+
 // Registry holds registered metric families and renders them in the
 // Prometheus text exposition format. Registration happens at setup time;
 // WritePrometheus may be called concurrently with publications (it reads
@@ -57,7 +80,9 @@ type Registry struct {
 	mu     sync.Mutex
 	fams   []*family
 	byName map[string]*family
+	blocks []*block
 	buf    []byte
+	hv     histView // scrape copy of the histogram being rendered
 	app    Appender // reused across collect calls: a fresh &Appender{}
 	// would escape into the collector closure and cost one allocation
 	// per collector series per scrape
@@ -132,6 +157,34 @@ func (r *Registry) Histogram(name, labels, help string, h *Histogram) {
 	r.add(name, labels, help, KindHistogram, series{hist: h})
 }
 
+// Block puts already-registered cells under seq: every scrape copies them
+// in one read and renders each of their series from that copy, so a scrape
+// never shows two publications of the block at once. The owner brackets
+// each publication of the cells with seq.Begin and seq.End.
+func (r *Registry) Block(seq *Seq, cells ...*Cell) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	b := &block{seq: seq, cells: cells, vals: make([]uint64, len(cells))}
+	for i, c := range cells {
+		found := false
+		for _, f := range r.fams {
+			for j := range f.series {
+				if f.series[j].cell == c {
+					f.series[j].val = &b.vals[i]
+					found = true
+				}
+			}
+		}
+		if !found {
+			panic("telemetry: Block cell is not registered")
+		}
+	}
+	r.blocks = append(r.blocks, b)
+}
+
 // CollectCounter registers a scrape-time collector emitting counter
 // samples with dynamic label sets (e.g. one series per vswitch sender).
 func (r *Registry) CollectCounter(name, help string, fn func(*Appender)) {
@@ -201,6 +254,9 @@ func appendBucketLine(buf []byte, name, labels, le string, v uint64) []byte {
 // a steady-state scrape performs no allocation).
 func (r *Registry) render() {
 	r.buf = r.buf[:0]
+	for _, b := range r.blocks {
+		b.load()
+	}
 	for _, f := range r.fams {
 		r.buf = append(r.buf, "# HELP "...)
 		r.buf = append(r.buf, f.name...)
@@ -218,23 +274,27 @@ func (r *Registry) render() {
 				r.app.r, r.app.fam = r, f
 				s.collect(&r.app)
 			case s.hist != nil:
+				// One copy feeds every line, so the buckets, +Inf, _sum
+				// and _count all come from the same publication.
+				v := &r.hv
+				s.hist.load(v)
 				cum := uint64(0)
 				for b := 0; b < HistBuckets; b++ {
-					cum += s.hist.publishedBucket(b)
+					cum += v.cnt[b]
 					r.buf = appendBucketLine(r.buf, f.name, s.labels, bucketLE[b], cum)
 				}
-				r.buf = appendBucketLine(r.buf, f.name, s.labels, "+Inf", s.hist.Count())
+				r.buf = appendBucketLine(r.buf, f.name, s.labels, "+Inf", v.count)
 				r.buf = append(r.buf, f.name...)
 				r.buf = append(r.buf, "_sum"...)
 				r.buf = append(r.buf, s.labels...)
 				r.buf = append(r.buf, ' ')
-				r.buf = strconv.AppendFloat(r.buf, s.hist.SumSeconds(), 'g', -1, 64)
+				r.buf = strconv.AppendFloat(r.buf, float64(v.sumNs)/1e9, 'g', -1, 64)
 				r.buf = append(r.buf, '\n')
 				r.buf = append(r.buf, f.name...)
 				r.buf = append(r.buf, "_count"...)
 				r.buf = append(r.buf, s.labels...)
 				r.buf = append(r.buf, ' ')
-				r.buf = strconv.AppendUint(r.buf, s.hist.Count(), 10)
+				r.buf = strconv.AppendUint(r.buf, v.count, 10)
 				r.buf = append(r.buf, '\n')
 			case s.isFloat:
 				r.buf = append(r.buf, f.name...)
@@ -244,6 +304,8 @@ func (r *Registry) render() {
 				r.buf = append(r.buf, '\n')
 			case s.fnU != nil:
 				r.buf = appendSample(r.buf, f.name, s.labels, s.fnU())
+			case s.val != nil:
+				r.buf = appendSample(r.buf, f.name, s.labels, *s.val)
 			default:
 				r.buf = appendSample(r.buf, f.name, s.labels, s.cell.Load())
 			}

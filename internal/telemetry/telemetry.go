@@ -6,7 +6,10 @@
 // they stored into atomic publication cells. Scrapes read exclusively from
 // those cells — or from closures over already-synchronized state — so the
 // exposition path never takes a lock the hot path can contend on, and the
-// hot path never executes an atomic read-modify-write.
+// hot path never executes an atomic read-modify-write. Where a group of
+// cells must be read as one publication (a histogram's buckets and count,
+// a block registered with Registry.Block), the owner brackets its stores
+// with a Seq and the scrape retries its copy instead.
 //
 // Every entry point is nil-safe: a nil *Registry (telemetry.Disabled) makes
 // instrumentation a no-op, so an uninstrumented path pays one predictable
@@ -15,6 +18,7 @@ package telemetry
 
 import (
 	"math/bits"
+	"runtime"
 	"sync/atomic"
 	"time"
 )
@@ -34,6 +38,39 @@ func (c *Cell) Add(d uint64) { c.v.Add(d) }
 
 // Load returns the last published value. Safe from any goroutine.
 func (c *Cell) Load() uint64 { return c.v.Load() }
+
+// Seq is the sequence word of a multi-cell publication: a seqlock whose
+// writer never waits. The owner turns the word odd, stores the group's
+// cells, and turns it even again; a reader copies the cells and retries
+// while the word is odd or has moved, so its copy never combines two
+// publications. The owner does one load and two stores, never an atomic
+// read-modify-write.
+type Seq struct{ v atomic.Uint64 }
+
+// Begin opens a publication and returns the word End stores. Owner only.
+func (s *Seq) Begin() uint64 {
+	n := s.v.Load() + 1
+	s.v.Store(n) // odd: a publication is in progress
+	return n + 1
+}
+
+// End closes the publication Begin opened. Owner only.
+func (s *Seq) End(next uint64) { s.v.Store(next) }
+
+// readBegin waits out an in-progress publication and returns the even word
+// a reader's copy is checked against.
+func (s *Seq) readBegin() uint64 {
+	for {
+		if n := s.v.Load(); n&1 == 0 {
+			return n
+		}
+		runtime.Gosched()
+	}
+}
+
+// readRetry reports whether a publication began since readBegin returned n,
+// i.e. whether the copy made in between may be torn.
+func (s *Seq) readRetry(n uint64) bool { return s.v.Load() != n }
 
 // Counter is a hot-path counter: a plain uint64 the owning goroutine
 // increments without synchronization, plus the cell it publishes through.
@@ -94,6 +131,12 @@ func bucketOf(ns uint64) int {
 // ring); the log2 bucketing happens when the ring fills or at Publish, and
 // the bucketed totals are then stored into atomic cells for scrapers. As
 // with Counter, all methods except the published readers are owner-only.
+//
+// Publish stores the buckets, sum and count under one sequence word (see
+// Seq), and a scrape copies them in one read that retries while a
+// publication overlaps it. So each scrape renders a histogram from a single
+// publication: its buckets are cumulative and _count equals the +Inf
+// bucket. The owner never blocks; only the reader retries.
 type Histogram struct {
 	ring  [histRingLen]uint64
 	wpos  uint64
@@ -101,10 +144,9 @@ type Histogram struct {
 	count uint64
 	sumNs uint64
 	cnt   [HistBuckets]uint64
-	inf   uint64
 
+	seq      Seq
 	pubCnt   [HistBuckets]Cell
-	pubInf   Cell
 	pubCount Cell
 	pubSum   Cell
 }
@@ -121,14 +163,13 @@ func (h *Histogram) Observe(d time.Duration) {
 // ObserveSince records time elapsed since t0. Owner only.
 func (h *Histogram) ObserveSince(t0 time.Time) { h.Observe(time.Since(t0)) }
 
-// drain buckets every pending ring sample.
+// drain buckets every pending ring sample. Samples past the last finite
+// bound count only towards count: the +Inf bucket is rendered from it.
 func (h *Histogram) drain() {
 	for ; h.rpos != h.wpos; h.rpos++ {
 		ns := h.ring[h.rpos&histRingMask]
 		if b := bucketOf(ns); b < HistBuckets {
 			h.cnt[b]++
-		} else {
-			h.inf++
 		}
 		h.sumNs += ns
 		h.count++
@@ -136,15 +177,39 @@ func (h *Histogram) drain() {
 }
 
 // Publish drains the ring and stores the bucketed totals into the
-// publication cells. Owner only.
+// publication cells as one publication. Owner only.
 func (h *Histogram) Publish() {
 	h.drain()
+	end := h.seq.Begin()
 	for i := range h.cnt {
 		h.pubCnt[i].Store(h.cnt[i])
 	}
-	h.pubInf.Store(h.inf)
 	h.pubSum.Store(h.sumNs)
 	h.pubCount.Store(h.count)
+	h.seq.End(end)
+}
+
+// histView is one publication of a histogram, copied out by load.
+type histView struct {
+	cnt   [HistBuckets]uint64
+	count uint64
+	sumNs uint64
+}
+
+// load copies the last complete publication into v. Safe from any
+// goroutine; it retries while a publication overlaps the copy.
+func (h *Histogram) load(v *histView) {
+	for {
+		n := h.seq.readBegin()
+		for i := range v.cnt {
+			v.cnt[i] = h.pubCnt[i].Load()
+		}
+		v.count = h.pubCount.Load()
+		v.sumNs = h.pubSum.Load()
+		if !h.seq.readRetry(n) {
+			return
+		}
+	}
 }
 
 // Count returns the published sample count. Safe from any goroutine.

@@ -263,3 +263,82 @@ func TestScrapeZeroAlloc(t *testing.T) {
 		t.Fatalf("steady-state scrape allocates %v times per pass, want 0", allocs)
 	}
 }
+
+// TestBlockScrapeConsistent pins the multi-cell publication contract: cells
+// put under one sequence word with Registry.Block render from a single
+// publication, so an invariant the owner keeps across them (here total =
+// a + b) holds in every concurrent scrape.
+func TestBlockScrapeConsistent(t *testing.T) {
+	r := NewRegistry()
+	var seq Seq
+	var total, a, b Cell
+	r.Counter("blk_total", "", "a plus b", &total)
+	r.Counter("blk_a_total", "", "a", &a)
+	r.Counter("blk_b_total", "", "b", &b)
+	r.Block(&seq, &total, &a, &b)
+	stop, published := make(chan struct{}), make(chan struct{})
+	var owner, scrapers sync.WaitGroup
+	owner.Add(1)
+	go func() { // the owner
+		defer owner.Done()
+		var na, nb uint64
+		for i := 0; ; i++ {
+			if i == 1 {
+				close(published)
+			}
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if i%3 == 0 {
+				nb++
+			} else {
+				na++
+			}
+			end := seq.Begin()
+			total.Store(na + nb)
+			a.Store(na)
+			b.Store(nb)
+			seq.End(end)
+		}
+	}()
+	<-published
+	for s := 0; s < 4; s++ {
+		scrapers.Add(1)
+		go func() { // scrapers
+			defer scrapers.Done()
+			var buf []byte
+			for i := 0; i < 200; i++ {
+				buf = r.Gather(buf[:0])
+				fams, err := ParseProm(string(buf))
+				if err != nil {
+					t.Errorf("scrape %d: %v", i, err)
+					return
+				}
+				tot, _ := Lookup(fams, "blk_total", "blk_total", "")
+				va, _ := Lookup(fams, "blk_a_total", "blk_a_total", "")
+				vb, _ := Lookup(fams, "blk_b_total", "blk_b_total", "")
+				if tot.Value == 0 || tot.Value != va.Value+vb.Value {
+					t.Errorf("scrape %d: blk_total %v != a %v + b %v", i, tot.Value, va.Value, vb.Value)
+					return
+				}
+			}
+		}()
+	}
+	scrapers.Wait()
+	close(stop)
+	owner.Wait()
+}
+
+func TestBlockUnregisteredCellPanics(t *testing.T) {
+	r := NewRegistry()
+	var seq Seq
+	var c Cell
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Block over an unregistered cell did not panic")
+		}
+	}()
+	r.Block(&seq, &c)
+}

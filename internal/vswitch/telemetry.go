@@ -12,13 +12,17 @@ import (
 //   - DeltaReporter is single-threaded (one reporter per datapath), so its
 //     ReporterStats stay plain owner-side counters; Instrument installs a
 //     block of atomic cells the reporter publishes at its existing tick
-//     boundary. The packet path itself is untouched.
+//     boundary. The packet path itself is untouched. The block is one
+//     publication under a sequence word, so a scrape never splits a tick:
+//     reports_total equals full_reports_total + delta_reports_total in
+//     every scrape, as it does in ReporterStats.
 //   - Collector is mutex-protected and scraped rarely, so its series are
 //     scrape-time closures taking c.mu — including per-sender dynamic
 //     series whose rendered label strings are cached per sender id.
 
 // ReporterTelemetry is the DeltaReporter's publication block.
 type ReporterTelemetry struct {
+	seq          telemetry.Seq
 	Reports      telemetry.Cell
 	FullReports  telemetry.Cell
 	DeltaReports telemetry.Cell
@@ -58,6 +62,10 @@ func (t *ReporterTelemetry) Register(r *telemetry.Registry, labels string) {
 	r.Counter("rhhh_reporter_send_errors_total", labels, "Transport send failures.", &t.SendErrors)
 	r.Gauge("rhhh_reporter_in_flight", labels, "Whether a report is awaiting its ack (0 or 1).", &t.InFlight)
 	r.Gauge("rhhh_reporter_epoch", labels, "Collector epoch last learned from an ack.", &t.Epoch)
+	r.Block(&t.seq, &t.Reports, &t.FullReports, &t.DeltaReports, &t.DeltaNodes,
+		&t.FullBytes, &t.DeltaBytes, &t.Retransmits, &t.Timeouts, &t.Resyncs,
+		&t.Superseded, &t.AcksOK, &t.AcksStale, &t.Nacks, &t.AckErrors,
+		&t.SendErrors, &t.InFlight, &t.Epoch)
 }
 
 // Instrument registers the reporter's protocol telemetry with reg under the
@@ -73,9 +81,11 @@ func (r *DeltaReporter) Instrument(reg *telemetry.Registry) {
 	r.publishTelemetry()
 }
 
-// publishTelemetry copies the owner-side protocol counters into the block.
+// publishTelemetry copies the owner-side protocol counters into the block
+// as one publication.
 func (r *DeltaReporter) publishTelemetry() {
 	t, s := r.tm, &r.stats
+	end := t.seq.Begin()
 	t.Reports.Store(s.Reports)
 	t.FullReports.Store(s.FullReports)
 	t.DeltaReports.Store(s.DeltaReports)
@@ -97,6 +107,7 @@ func (r *DeltaReporter) publishTelemetry() {
 	}
 	t.InFlight.Store(inFlight)
 	t.Epoch.Store(uint64(r.epoch))
+	t.seq.End(end)
 }
 
 // senderLabels renders the per-sender label set (allocates; setup/scrape
